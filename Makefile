@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test vet hogvet simvet certify certify-tier lint bench bench-compare examples experiments tenants tiering verify golden trace chaos fuzz clean
+.PHONY: all build test vet hogvet simvet certify lint bench bench-compare examples experiments tenants tiering verify golden trace chaos fuzz clean
 
 build:
 	go build ./...
@@ -28,26 +28,16 @@ hogvet: build
 simvet: build
 	go run ./cmd/simvet ./...
 
-# hogflow residency certificates: every benchmark's report must match
-# its golden listing, and the listing must not depend on the campaign
-# worker count.
+# hogflow residency certificates: every benchmark's `certify` report
+# must match its 1:0 golden listing, its `certify -far` report must
+# match the listings at every DRAM:far ratio, and neither may depend on
+# the campaign worker count.
 certify: build
 	@for b in `go run ./cmd/memhog list`; do \
 		echo "memhog certify $$b"; \
 		go run ./cmd/memhog certify $$b > /tmp/memhog-cert-got.txt; \
-		{ echo "==== $$b ===="; cat internal/footprint/testdata/$$b.cert.golden; echo; } \
+		{ echo "==== $$b ===="; cat internal/footprint/testdata/$$b.tier1-0.cert.golden; echo; } \
 			| diff -u - /tmp/memhog-cert-got.txt || exit 1; \
-	done
-	@go run ./cmd/memhog -j 1 certify > /tmp/memhog-cert-j1.txt
-	@go run ./cmd/memhog -j 8 certify > /tmp/memhog-cert-j8.txt
-	@cmp /tmp/memhog-cert-j1.txt /tmp/memhog-cert-j8.txt
-	@echo "certify: six goldens match, worker-count independent"
-
-# Two-tier residency certificates: every benchmark's `certify -far`
-# report must match its per-ratio golden listings, and the listing
-# must not depend on the campaign worker count.
-certify-tier: build
-	@for b in `go run ./cmd/memhog list`; do \
 		echo "memhog certify -far $$b"; \
 		go run ./cmd/memhog certify -far $$b > /tmp/memhog-tiercert-got.txt; \
 		for r in 1:0 3:1 1:1 1:3; do \
@@ -57,12 +47,15 @@ certify-tier: build
 			echo; \
 		done | diff -u - /tmp/memhog-tiercert-got.txt || exit 1; \
 	done
+	@go run ./cmd/memhog -j 1 certify > /tmp/memhog-cert-j1.txt
+	@go run ./cmd/memhog -j 8 certify > /tmp/memhog-cert-j8.txt
+	@cmp /tmp/memhog-cert-j1.txt /tmp/memhog-cert-j8.txt
 	@go run ./cmd/memhog -j 1 certify -far > /tmp/memhog-tiercert-j1.txt
 	@go run ./cmd/memhog -j 8 certify -far > /tmp/memhog-tiercert-j8.txt
 	@cmp /tmp/memhog-tiercert-j1.txt /tmp/memhog-tiercert-j8.txt
-	@echo "certify-tier: 24 tier goldens match, worker-count independent"
+	@echo "certify: 24 tier goldens match, worker-count independent"
 
-lint: build vet hogvet simvet certify certify-tier
+lint: build vet hogvet simvet certify
 
 test: build vet
 	go test ./...

@@ -2,9 +2,10 @@
 // registry: the compiler's listings, the verifier's diagnostic
 // listings (with benchmark parameters bound, so the residency
 // certification evaluates at paper scale), the tampered dead-hint
-// listing, and the hogflow residency certificates. Run it after an
-// intentional change to the analysis or the checks and review the
-// diff; main_test.go asserts a fresh run leaves the tree clean.
+// listing, and the hogflow residency certificates at every DRAM:far
+// ratio. Run it after an intentional change to the analysis or the
+// checks and review the diff; main_test.go asserts a fresh run leaves
+// the tree clean.
 package main
 
 import (
@@ -37,7 +38,6 @@ func families() []family {
 		{"hogvet", genHogvetListings},
 		{"deadhint", genDeadHint},
 		{"certfixtures", genCertFixtures},
-		{"certificates", genCertificates},
 		{"tierfixtures", genTierFixtures},
 		{"tiercertificates", genTierCertificates},
 	}
@@ -136,26 +136,6 @@ func genCertFixtures(root string, tgt compiler.Target) (map[string]string, error
 	return out, nil
 }
 
-func genCertificates(_ string, tgt compiler.Target) (map[string]string, error) {
-	full := tgt
-	full.Prefetch = true
-	full.Release = true
-	out := map[string]string{}
-	for _, s := range workload.All() {
-		prog := s.Program(nil)
-		c, err := compiler.Compile(prog, full)
-		if err != nil {
-			return nil, err
-		}
-		certs := map[footprint.Version]*footprint.Certificate{}
-		for _, v := range footprint.Versions() {
-			certs[v] = footprint.Certify(prog, full, c.Hints(), v, footprint.Opts{Params: s.Params})
-		}
-		out["internal/footprint/testdata/"+s.Name+".cert.golden"] = footprint.Report(certs)
-	}
-	return out, nil
-}
-
 // Tier-fixture certification options, mirrored by
 // internal/hogvet/tierfixtures_test.go: a 1200-page far tier (the far
 // share of a 3:1 split of the 4800-page allotment) behind the
@@ -189,31 +169,17 @@ func genTierFixtures(root string, tgt compiler.Target) (map[string]string, error
 	return out, nil
 }
 
-// genTierCertificates regenerates the two-tier residency certificates
-// for every benchmark at every DRAM:far ratio of the tiering
-// campaign: the paper-scale memory budget is split by the ratio, the
-// schedule recompiles against the DRAM share, and the certificate
-// carries the far-tier occupancy and demotion-flow bounds (the 1:0
-// baseline certifies the single-tier world). `make certify-tier`
-// diffs `memhog certify -far` against these listings.
+// genTierCertificates regenerates the residency certificates for
+// every benchmark at every DRAM:far ratio of the tiering campaign, on
+// the paper-scale machine: the 1:0 listing is what `memhog certify`
+// prints, and all four are the sections of `memhog certify -far`.
 func genTierCertificates(_ string, _ compiler.Target) (map[string]string, error) {
-	cfg := kernel.DefaultConfig()
 	out := map[string]string{}
 	for _, s := range workload.All() {
 		for _, ratio := range experiments.TieringRatios {
-			dram, far := ratio.Split(cfg.UserMemPages)
-			full := compiler.DefaultTarget(cfg.PageSize, dram)
-			full.Prefetch = true
-			full.Release = true
-			prog := s.Program(nil)
-			c, err := compiler.Compile(prog, full)
+			certs, err := experiments.CertifyAtRatio(s, kernel.DefaultConfig(), ratio)
 			if err != nil {
 				return nil, err
-			}
-			opts := footprint.Opts{Params: s.Params, FarPages: far, FarMinPrio: cfg.Far.MinPrio}
-			certs := map[footprint.Version]*footprint.Certificate{}
-			for _, v := range footprint.Versions() {
-				certs[v] = footprint.Certify(prog, full, c.Hints(), v, opts)
 			}
 			name := fmt.Sprintf("internal/footprint/testdata/%s.tier%d-%d.cert.golden",
 				s.Name, ratio.DRAM, ratio.Far)

@@ -188,19 +188,11 @@ func (a *app) cmdCertify() {
 		names = memhogs.BenchmarkNames()
 	}
 	for _, name := range names {
-		if *far {
-			out, err := memhogs.CertifyBenchmarkTiered(name, a.machine)
-			if err != nil {
-				fatal("%v", err)
-			}
-			fmt.Print(out)
-			continue
-		}
-		out, err := memhogs.CertifyBenchmark(name, a.machine)
+		out, err := memhogs.CertifyBenchmark(name, a.machine, *far)
 		if err != nil {
 			fatal("%v", err)
 		}
-		fmt.Printf("==== %s ====\n%s\n", name, out)
+		fmt.Print(out)
 	}
 }
 

@@ -2,6 +2,7 @@ package memhogs
 
 import (
 	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 )
@@ -19,7 +20,7 @@ func TestDuelFacade(t *testing.T) {
 }
 
 func TestSensitivityFacade(t *testing.T) {
-	out, err := Sensitivity("matvec", true, nil)
+	out, err := Campaign{Quick: true, Workers: 1}.Sensitivity("matvec")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestVerifyQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full quick campaign")
 	}
-	out, _, err := Verify(true, nil)
+	out, _, err := Campaign{Quick: true, Workers: 1}.Verify()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,6 +113,41 @@ func TestVerifyQuick(t *testing.T) {
 	for _, id := range []string{"C1", "C3", "C7c", "C9a"} {
 		if !strings.Contains(out, id) {
 			t.Errorf("claim %s not evaluated", id)
+		}
+	}
+}
+
+// TestCertifyFacadeMatchesGoldens pins both `memhog certify` outputs
+// to the checked-in tier goldens on the paper's machine: the 1:0
+// section alone under a "==== bench ====" header, and with far set
+// every ratio's listing under its "==== bench @ D:F ====" header.
+func TestCertifyFacadeMatchesGoldens(t *testing.T) {
+	for _, name := range BenchmarkNames() {
+		var single, tiered strings.Builder
+		for _, ratio := range []string{"1:0", "3:1", "1:1", "1:3"} {
+			golden, err := os.ReadFile("internal/footprint/testdata/" + name + ".tier" +
+				strings.Replace(ratio, ":", "-", 1) + ".cert.golden")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ratio == "1:0" {
+				single.WriteString("==== " + name + " ====\n" + string(golden) + "\n")
+			}
+			tiered.WriteString("==== " + name + " @ " + ratio + " ====\n" + string(golden) + "\n")
+		}
+		for _, far := range []bool{false, true} {
+			want := single.String()
+			if far {
+				want = tiered.String()
+			}
+			got, err := CertifyBenchmark(name, DefaultMachine(), far)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("%s (far=%v): facade output differs from the goldens\n--- got\n%s\n--- want\n%s",
+					name, far, got, want)
+			}
 		}
 	}
 }

@@ -93,27 +93,6 @@ func RandomPlan(seed uint64) chaos.Plan {
 	return p
 }
 
-// Shrink greedily minimizes a failing plan: any single fault whose
-// removal keeps the plan failing is dropped, until no removal does.
-// fails must be deterministic (harness runs are).
-func Shrink(plan chaos.Plan, fails func(chaos.Plan) bool) chaos.Plan {
-	for {
-		shrunk := false
-		for i := range plan.Faults {
-			cand := chaos.Plan{Seed: plan.Seed}
-			cand.Faults = append(cand.Faults, plan.Faults[:i]...)
-			cand.Faults = append(cand.Faults, plan.Faults[i+1:]...)
-			if fails(cand) {
-				plan, shrunk = cand, true
-				break
-			}
-		}
-		if !shrunk {
-			return plan
-		}
-	}
-}
-
 // Repro renders the exact CLI command that replays a failure
 // byte-for-byte (-quick selects the scaled machine the harness runs).
 func Repro(bench string, mode rt.Mode, plan chaos.Plan) string {

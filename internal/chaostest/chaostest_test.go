@@ -10,6 +10,7 @@ import (
 	"memhogs/internal/events"
 	"memhogs/internal/kernel"
 	"memhogs/internal/rt"
+	"memhogs/internal/shrink"
 	"memhogs/internal/workload"
 )
 
@@ -31,8 +32,10 @@ func TestChaosInvariants(t *testing.T) {
 				if err == nil {
 					continue
 				}
-				min := Shrink(plan, func(p chaos.Plan) bool {
-					return Check(bench, mode, p) != nil
+				// The shrink drops faults; every candidate keeps the seed.
+				min := chaos.Plan{Seed: plan.Seed}
+				min.Faults = shrink.Shrink(plan.Faults, func(fs []chaos.Fault) bool {
+					return Check(bench, mode, chaos.Plan{Seed: plan.Seed, Faults: fs}) != nil
 				})
 				t.Errorf("%s/%s seed %d: %v\nminimal failing plan: %s\nreplay: %s",
 					bench, mode, seed, err, min, Repro(bench, mode, min))
@@ -55,9 +58,11 @@ func TestRandomPlanDeterministic(t *testing.T) {
 	}
 }
 
-// TestShrinkFindsMinimalPlan checks the shrinker against a synthetic
+// TestShrinkFindsMinimalPlan checks plan shrinking against a synthetic
 // failure predicate: only one fault of five matters, and the shrunk
-// plan must contain exactly it.
+// plan must contain exactly it under the original seed. The predicate
+// fails only under seed 3, so a candidate that lost the seed would
+// stop the shrink.
 func TestShrinkFindsMinimalPlan(t *testing.T) {
 	plan := chaos.Plan{Seed: 3, Faults: []chaos.Fault{
 		{Site: chaos.ReleaseDrop, Prob: 0.1},
@@ -67,6 +72,9 @@ func TestShrinkFindsMinimalPlan(t *testing.T) {
 		{Site: chaos.StaleShared, Prob: 0.1},
 	}}
 	fails := func(p chaos.Plan) bool {
+		if p.Seed != 3 {
+			return false
+		}
 		for _, f := range p.Faults {
 			if f.Site == chaos.DaemonStorm {
 				return true
@@ -74,7 +82,10 @@ func TestShrinkFindsMinimalPlan(t *testing.T) {
 		}
 		return false
 	}
-	min := Shrink(plan, fails)
+	min := chaos.Plan{Seed: plan.Seed}
+	min.Faults = shrink.Shrink(plan.Faults, func(fs []chaos.Fault) bool {
+		return fails(chaos.Plan{Seed: plan.Seed, Faults: fs})
+	})
 	if len(min.Faults) != 1 || min.Faults[0].Site != chaos.DaemonStorm {
 		t.Fatalf("shrunk to %s, want just daemon-storm", min)
 	}

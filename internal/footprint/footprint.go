@@ -71,10 +71,10 @@
 // the clamp keeps the certificate sound even where the analysis is
 // loose, since a process can never hold more frames than exist.
 //
-// experiments.RunCertCrossValidation validates the certificate
-// dynamically: every benchmark × version runs under the flight
-// recorder and the observed peak resident set must stay at or below
-// the certified bound.
+// experiments.RunTierCertCrossValidation validates the certificate
+// dynamically: every benchmark × mode × DRAM:far ratio runs under the
+// flight recorder and the observed peaks of both tiers must stay at or
+// below the certified bounds.
 package footprint
 
 import (
@@ -127,7 +127,7 @@ func (v Version) UsesRelease() bool { return v == VersionR || v == VersionB }
 // klustering, the release path running one request behind the access
 // stream, partially-filled releaser batches, and scheduling jitter
 // between the application and the releaser daemon. Their values are
-// validated (and would be tuned) by RunCertCrossValidation's
+// validated (and would be tuned) by RunTierCertCrossValidation's
 // soundness assertion.
 const (
 	// streamSlackPages is added to every streamed group's window.
@@ -186,9 +186,9 @@ func (p Policy) String() string {
 // ArrayWindow is one array's abstract state within one nest.
 type ArrayWindow struct {
 	Array          string
-	Footprint      Poly   // symbolic footprint bound, in pages
-	FootprintPages int64  // evaluated footprint; -1 when unresolved
-	WindowPages    int64  // version-specific resident window; -1 when unresolved
+	Footprint      Poly  // symbolic footprint bound, in pages
+	FootprintPages int64 // evaluated footprint; -1 when unresolved
+	WindowPages    int64 // version-specific resident window; -1 when unresolved
 	Policy         Policy
 	Note           string // reason for ⊤ or retention, if any
 
@@ -286,8 +286,8 @@ type Certificate struct {
 	// traffic over the whole run (-1 = ⊤: an imprecise or indirect
 	// release can demote the same page repeatedly, so no finite
 	// static bound exists).
-	FarPages          int   // configured far-tier size, from Opts
-	FarMinPrio        int   // demotion gate, from Opts
+	FarPages          int // configured far-tier size, from Opts
+	FarMinPrio        int // demotion gate, from Opts
 	FarBoundPages     int64
 	FarCertifiedPages int64
 	FarClamped        bool

@@ -6,23 +6,20 @@ import (
 	"testing"
 
 	"memhogs/internal/compiler"
+	"memhogs/internal/experiments"
 	"memhogs/internal/footprint"
+	"memhogs/internal/kernel"
 	"memhogs/internal/workload"
 )
 
-// certifyAll compiles one benchmark with the full schedule and
-// certifies all four versions at paper-scale parameters.
+// certifyAll certifies all four versions of one benchmark on the
+// paper-scale all-DRAM machine (the 1:0 ratio), through the same
+// helper `memhog certify` and gen-golden use.
 func certifyAll(t *testing.T, spec *workload.Spec) map[footprint.Version]*footprint.Certificate {
 	t.Helper()
-	prog := spec.Program(nil)
-	tgt := compiler.DefaultTarget(16<<10, 4800)
-	c, err := compiler.Compile(prog, tgt)
+	certs, err := experiments.CertifyAtRatio(spec, kernel.DefaultConfig(), experiments.TierRatio{DRAM: 1})
 	if err != nil {
-		t.Fatalf("%s: %v", spec.Name, err)
-	}
-	certs := map[footprint.Version]*footprint.Certificate{}
-	for _, v := range footprint.Versions() {
-		certs[v] = footprint.Certify(prog, tgt, c.Hints(), v, footprint.Opts{Params: spec.Params})
+		t.Fatal(err)
 	}
 	return certs
 }
@@ -75,14 +72,14 @@ func TestCertificateShapes(t *testing.T) {
 }
 
 // TestCertificateGoldens locks the rendered four-version reports
-// against the checked-in listings (the same bytes `memhog certify`
+// against the checked-in 1:0 listings (the same bytes `memhog certify`
 // prints and CI diffs). Regenerate with `go run ./cmd/gen-golden`.
 func TestCertificateGoldens(t *testing.T) {
 	for _, spec := range workload.All() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			got := footprint.Report(certifyAll(t, spec))
-			want, err := os.ReadFile(filepath.Join("testdata", spec.Name+".cert.golden"))
+			want, err := os.ReadFile(filepath.Join("testdata", spec.Name+".tier1-0.cert.golden"))
 			if err != nil {
 				t.Fatalf("missing golden (run `go run ./cmd/gen-golden`): %v", err)
 			}

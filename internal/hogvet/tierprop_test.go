@@ -8,6 +8,7 @@ import (
 	"memhogs/internal/footprint"
 	"memhogs/internal/hogvet"
 	"memhogs/internal/lang"
+	"memhogs/internal/shrink"
 	"memhogs/internal/sim"
 )
 
@@ -186,8 +187,8 @@ func tierPropCheck(src string) (string, int64) {
 // TestFarTierMonotone property-checks the two-tier domain across
 // random multi-nest affine programs: growing the far tier can only
 // relax the verdicts. On failure the nest sequence is greedily shrunk
-// (memtest's Shrink idiom, at nest granularity) and the minimal
-// program printed as pasteable .hog source.
+// at nest granularity and the minimal program printed as pasteable
+// .hog source.
 func TestFarTierMonotone(t *testing.T) {
 	r := sim.NewRand(20260809)
 	demoting := 0
@@ -201,24 +202,12 @@ func TestFarTierMonotone(t *testing.T) {
 		if viol == "" {
 			continue
 		}
-		// Greedy shrink: drop any single nest whose removal keeps the
-		// property violated, until none does.
-		for {
-			shrunk := false
-			for i := range nests {
-				cand := append(append([]tierNest{}, nests[:i]...), nests[i+1:]...)
-				if len(cand) == 0 {
-					continue
-				}
-				if v := tierPropViolation(tierProgSrc(cand, narr, size)); v != "" {
-					nests, viol, shrunk = cand, v, true
-					break
-				}
-			}
-			if !shrunk {
-				break
-			}
-		}
+		// A program needs at least one nest, so the empty candidate
+		// never counts as a repro.
+		nests = shrink.Shrink(nests, func(cand []tierNest) bool {
+			return len(cand) > 0 && tierPropViolation(tierProgSrc(cand, narr, size)) != ""
+		})
+		viol = tierPropViolation(tierProgSrc(nests, narr, size))
 		t.Fatalf("trial %d: %s\nminimal repro:\n%s", trial, viol, tierProgSrc(nests, narr, size))
 	}
 	if demoting == 0 {

@@ -4,8 +4,9 @@
 // step that each page lives in exactly one of {DRAM, far, swap, gone},
 // that contents (modeled by the dirty bit) survive demote→promote
 // round-trips, and that the per-tier counters reconcile with
-// kernel.Audit — and shrinks a failing sequence to a minimal one whose
-// replay call can be pasted straight into a test.
+// kernel.Audit — and renders a failing sequence (minimized with
+// shrink.Shrink) as a replay call that can be pasted straight into a
+// test.
 package memtest
 
 import (
@@ -264,27 +265,6 @@ func Run(ops []Op) (mem.FarStats, error) {
 			fs.Demotions, fs.Promotions, live, farPTEs)
 	}
 	return fs, nil
-}
-
-// Shrink greedily minimizes a failing sequence: any single op whose
-// removal keeps the sequence failing is dropped, until no removal
-// does. fails must be deterministic (Run is).
-func Shrink(ops []Op, fails func([]Op) bool) []Op {
-	for {
-		shrunk := false
-		for i := range ops {
-			cand := make([]Op, 0, len(ops)-1)
-			cand = append(cand, ops[:i]...)
-			cand = append(cand, ops[i+1:]...)
-			if fails(cand) {
-				ops, shrunk = cand, true
-				break
-			}
-		}
-		if !shrunk {
-			return ops
-		}
-	}
 }
 
 // Repro renders the exact harness call that replays a failure.

@@ -2,6 +2,8 @@ package memtest
 
 import (
 	"testing"
+
+	"memhogs/internal/shrink"
 )
 
 func fails(cand []Op) bool {
@@ -30,7 +32,7 @@ func TestTierInvariants(t *testing.T) {
 		if err == nil {
 			continue
 		}
-		min := Shrink(ops, fails)
+		min := shrink.Shrink(ops, fails)
 		_, minErr := Run(min)
 		t.Fatalf("seed %d: %v\nshrunk to %d ops (from %d): %v\nrepro: %s",
 			seed, err, len(min), len(ops), minErr, Repro(min))
@@ -106,7 +108,7 @@ func TestShrinkMinimizes(t *testing.T) {
 		}
 		return d && to
 	}
-	min := Shrink(ops, fails)
+	min := shrink.Shrink(ops, fails)
 	if got := OpsString(min); got != "d1 t2" {
 		t.Fatalf("shrunk to %q, want \"d1 t2\"", got)
 	}
