@@ -1,12 +1,18 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test vet hogvet simvet certify lint bench bench-compare examples experiments tenants tiering verify golden trace chaos fuzz clean
+.PHONY: all build test vet fmt-check hogvet simvet certify lint bench bench-compare examples experiments tenants tiering verify golden trace chaos fuzz clean
 
 build:
 	go build ./...
 
 vet:
 	go vet ./...
+
+# Formatting gate: every tracked Go file, testdata fixtures included,
+# must be gofmt-clean. Lists the offenders before failing.
+fmt-check:
+	@gofmt -l $$(git ls-files '*.go')
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 
 # Static hint-safety gate: hogc -vet exits non-zero on error-severity
 # findings, over both the .hog sources in the tree and the built-in
@@ -55,7 +61,7 @@ certify: build
 	@cmp /tmp/memhog-tiercert-j1.txt /tmp/memhog-tiercert-j8.txt
 	@echo "certify: 24 tier goldens match, worker-count independent"
 
-lint: build vet hogvet simvet certify
+lint: build vet fmt-check hogvet simvet certify
 
 test: build vet
 	go test ./...

@@ -25,7 +25,7 @@ func Hot(buf []rec, n int) {
 	_ = r
 	xs := []int{n} // want `heap allocation \(slice literal\)`
 	_ = xs
-	logf("event %d", n) // want `interface boxing \(int argument\)`
+	logf("event %d", n)          // want `interface boxing \(int argument\)`
 	f := func() int { return n } // want `closure allocation`
 	_ = f
 	sink(interface{}(rec{a: n})) // want `interface boxing \(conversion of ring.rec\)`

@@ -121,14 +121,16 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// Event is one recorded occurrence.
+// Event is one recorded occurrence. It holds no pointer, so the
+// garbage collector never scans the ring: actor and target names are
+// interned by the recorder and stored as indexes into its names table.
 type Event struct {
 	At     sim.Time
-	Kind   Kind
-	Actor  string // emitting track: a process name or "pageoutd"/"releaserd"
-	Target string // secondary subject (e.g. the steal victim); "" if none
 	Page   int    // virtual page number; -1 if not page-scoped
 	A, B   int64  // kind-specific values, see argLabels
+	Actor  uint32 // names index of the emitting track: a process or "pageoutd"/"releaserd"
+	Target uint32 // names index of the secondary subject (e.g. the steal victim); 0 ("") if none
+	Kind   Kind
 }
 
 // Counts is the exact per-kind totals, unaffected by ring drops.
@@ -156,13 +158,17 @@ type Recorder struct {
 	n       int
 	dropped int64
 	counts  Counts
+	// names is the interned actor and target names, indexed by the
+	// Event fields; names[0] is "". ids maps a name back to its index.
+	names []string
+	ids   map[string]uint32
 }
 
 // DefaultCapacity bounds the ring when New is given capacity <= 0.
 const DefaultCapacity = 1 << 16
 
 // chunkShift sizes the lazily-allocated ring chunks (1024 events,
-// ~80 KB: big enough to amortize, small enough that sparse use stays
+// 48 KB: big enough to amortize, small enough that sparse use stays
 // cheap).
 const chunkShift = 10
 
@@ -174,7 +180,8 @@ func New(s *sim.Sim, capacity int) *Recorder {
 		capacity = DefaultCapacity
 	}
 	nchunks := (capacity + (1 << chunkShift) - 1) >> chunkShift
-	return &Recorder{sim: s, ringCap: capacity, chunks: make([][]Event, nchunks)}
+	return &Recorder{sim: s, ringCap: capacity, chunks: make([][]Event, nchunks),
+		names: []string{""}, ids: map[string]uint32{"": 0}}
 }
 
 // slot returns the event at ring index i, allocating its chunk on
@@ -189,6 +196,39 @@ func (r *Recorder) slot(i int) *Event {
 		r.chunks[i>>chunkShift] = c
 	}
 	return &c[i&(1<<chunkShift-1)]
+}
+
+// at returns the i-th retained event, oldest first, in place. Every
+// retained event's chunk exists, so at never allocates.
+func (r *Recorder) at(i int) *Event {
+	j := r.head + i
+	if j >= r.ringCap {
+		j -= r.ringCap
+	}
+	return &r.chunks[j>>chunkShift][j&(1<<chunkShift-1)]
+}
+
+// intern returns name's index in the names table.
+//
+//simvet:hot
+func (r *Recorder) intern(name string) uint32 {
+	if name == "" {
+		return 0
+	}
+	if id, ok := r.ids[name]; ok {
+		return id
+	}
+	return r.addName(name)
+}
+
+// addName enters a name on first sight. It grows the table, which is
+// why it stays off the hot path: a run sees a handful of distinct
+// actors and targets against millions of events.
+func (r *Recorder) addName(name string) uint32 {
+	id := uint32(len(r.names))
+	r.names = append(r.names, name)
+	r.ids[name] = id
+	return id
 }
 
 // Emit records one event. Safe (and free) on a nil Recorder.
@@ -209,7 +249,8 @@ func (r *Recorder) Emit(k Kind, actor, target string, page int, a, b int64) {
 		r.head = (r.head + 1) % r.ringCap
 		r.dropped++
 	}
-	*r.slot(idx) = Event{At: r.sim.Now(), Kind: k, Actor: actor, Target: target, Page: page, A: a, B: b}
+	*r.slot(idx) = Event{At: r.sim.Now(), Kind: k, Actor: r.intern(actor), Target: r.intern(target),
+		Page: page, A: a, B: b}
 }
 
 // Len returns the number of events retained in the ring.
@@ -234,16 +275,4 @@ func (r *Recorder) Counts() Counts {
 		return Counts{}
 	}
 	return r.counts
-}
-
-// Events returns the retained events in chronological order.
-func (r *Recorder) Events() []Event {
-	if r == nil {
-		return nil
-	}
-	out := make([]Event, 0, r.n)
-	for i := 0; i < r.n; i++ {
-		out = append(out, *r.slot((r.head + i) % r.ringCap))
-	}
-	return out
 }

@@ -4,39 +4,99 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"strings"
+	"unsafe"
+
+	"memhogs/internal/sim"
 )
+
+// The exporters append every event into one []byte sized up front from
+// these per-line estimates (the quick trace cells average ~60 B per log
+// line and ~100 B per Chrome event), so an export rarely grows its
+// buffer.
+const (
+	logLineBytes    = 72
+	chromeLineBytes = 112
+	summaryBytes    = (int(KindCount) + 1) * 64 // counter lines + totals
+)
+
+// Per-kind strings the exporters would otherwise format per event: the
+// padded log column, the quoted JSON name, and the quoted argument keys
+// with their colon.
+var (
+	kindColumn, kindJSON [KindCount]string
+	argKeys              [KindCount][2]string
+)
+
+func init() {
+	for k := Kind(0); k < KindCount; k++ {
+		kindColumn[k] = fmt.Sprintf("%-22s", k)
+		kindJSON[k] = strconv.Quote(k.String())
+		for i, label := range argLabels[k] {
+			if label != "" {
+				argKeys[k][i] = strconv.Quote(label) + ":"
+			}
+		}
+	}
+}
 
 // Log renders the retained events as a human-readable merged log: one
 // line per event, all tracks interleaved in virtual-time order,
-// followed by the exact counter registry and the drop count.
+// followed by the exact counter registry and the drop count. Each line
+// is "%12s  %-11s %-22s" of time, actor and kind, then the page, the
+// target and the kind's labelled values.
 func (r *Recorder) Log() string {
-	var b strings.Builder
-	for _, e := range r.Events() {
-		fmt.Fprintf(&b, "%12s  %-11s %-22s", e.At, e.Actor, e.Kind)
+	if r == nil {
+		return r.CounterSummary()
+	}
+	actors := make([]string, len(r.names))
+	for i, name := range r.names {
+		actors[i] = fmt.Sprintf("%-11s ", name)
+	}
+	buf := make([]byte, 0, r.n*logLineBytes+summaryBytes)
+	var tb [32]byte
+	for i := 0; i < r.n; i++ {
+		e := r.at(i)
+		ts := e.At.Append(tb[:0])
+		// Right-align the time in 12 columns ("%12s"; times are ASCII).
+		buf = append(buf, "            "[min(len(ts), 12):]...)
+		buf = append(buf, ts...)
+		buf = append(buf, "  "...)
+		buf = append(buf, actors[e.Actor]...)
+		buf = append(buf, kindColumn[e.Kind]...)
 		if e.Page >= 0 {
-			fmt.Fprintf(&b, " page=%d", e.Page)
+			buf = append(buf, " page="...)
+			buf = strconv.AppendInt(buf, int64(e.Page), 10)
 		}
-		if e.Target != "" {
-			fmt.Fprintf(&b, " of=%s", e.Target)
+		if e.Target != 0 {
+			buf = append(buf, " of="...)
+			buf = append(buf, r.names[e.Target]...)
 		}
 		labels := argLabels[e.Kind]
 		if labels[0] != "" {
-			fmt.Fprintf(&b, " %s=%d", labels[0], e.A)
+			buf = append(append(append(buf, ' '), labels[0]...), '=')
+			buf = strconv.AppendInt(buf, e.A, 10)
 		}
 		if labels[1] != "" {
-			fmt.Fprintf(&b, " %s=%d", labels[1], e.B)
+			buf = append(append(append(buf, ' '), labels[1]...), '=')
+			buf = strconv.AppendInt(buf, e.B, 10)
 		}
-		b.WriteByte('\n')
+		buf = append(buf, '\n')
 	}
-	b.WriteString(r.CounterSummary())
-	return b.String()
+	buf = r.appendCounterSummary(buf)
+	// buf is never written again, so the string can share its bytes,
+	// as strings.Builder does.
+	return unsafe.String(unsafe.SliceData(buf), len(buf))
 }
 
 // CounterSummary renders the counter registry: one line per nonzero
 // kind in declaration order, plus retained/dropped totals.
 func (r *Recorder) CounterSummary() string {
-	var b strings.Builder
+	var b [summaryBytes]byte
+	return string(r.appendCounterSummary(b[:0]))
+}
+
+// appendCounterSummary appends CounterSummary's bytes to buf.
+func (r *Recorder) appendCounterSummary(buf []byte) []byte {
 	counts := r.Counts()
 	var total int64
 	for k := Kind(0); k < KindCount; k++ {
@@ -44,11 +104,13 @@ func (r *Recorder) CounterSummary() string {
 			continue
 		}
 		total += counts[k]
-		fmt.Fprintf(&b, "counter %-22s %d\n", k, counts[k])
+		buf = append(append(append(buf, "counter "...), kindColumn[k]...), ' ')
+		buf = append(strconv.AppendInt(buf, counts[k], 10), '\n')
 	}
-	fmt.Fprintf(&b, "events %d recorded, %d retained, %d dropped by the ring\n",
-		total, r.Len(), r.Dropped())
-	return b.String()
+	buf = strconv.AppendInt(append(buf, "events "...), total, 10)
+	buf = strconv.AppendInt(append(buf, " recorded, "...), int64(r.Len()), 10)
+	buf = strconv.AppendInt(append(buf, " retained, "...), r.Dropped(), 10)
+	return append(buf, " dropped by the ring\n"...)
 }
 
 // Chrome renders the retained events as Chrome trace-event JSON
@@ -56,80 +118,104 @@ func (r *Recorder) CounterSummary() string {
 // actor, instant events for decisions, and a counter track per process
 // from the shared-page refreshes (usage vs limit over time). The JSON
 // is built by hand with fixed key order so the bytes are fully
-// deterministic.
+// deterministic; "ts" is the event time in microseconds with three
+// decimals.
 func (r *Recorder) Chrome() []byte {
-	var b strings.Builder
-	evs := r.Events()
-
-	// Assign one tid per actor in order of first appearance.
-	tids := map[string]int{}
-	var actors []string
-	for _, e := range evs {
-		if _, ok := tids[e.Actor]; !ok {
-			tids[e.Actor] = len(tids) + 1
-			actors = append(actors, e.Actor)
+	if r == nil {
+		return new(Recorder).Chrome() // an empty trace
+	}
+	// One tid per actor in order of first appearance; each name is
+	// quoted once.
+	tids := make([]int64, len(r.names))
+	var actors []uint32
+	for i := 0; i < r.n; i++ {
+		if a := r.at(i).Actor; tids[a] == 0 {
+			actors = append(actors, a)
+			tids[a] = int64(len(actors))
 		}
 	}
-
-	b.WriteString("{\"traceEvents\":[\n")
-	b.WriteString(`{"name":"process_name","ph":"M","pid":1,"args":{"name":"memhogs"}}`)
+	quoted := make([]string, len(r.names))
+	for i, name := range r.names {
+		quoted[i] = strconv.Quote(name)
+	}
+	counterNames := make([]string, len(r.names))
 	for _, a := range actors {
-		fmt.Fprintf(&b, ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"args\":{\"name\":%s}}",
-			tids[a], strconv.Quote(a))
+		counterNames[a] = strconv.Quote("mem[" + r.names[a] + "]")
 	}
-	for _, e := range evs {
-		ts := float64(e.At) / 1e3 // ns -> us
-		if e.Kind == PMRefresh {
-			// Counter track: shared-page usage vs limit per process.
-			fmt.Fprintf(&b, ",\n{\"name\":%s,\"ph\":\"C\",\"ts\":%.3f,\"pid\":1,\"tid\":%d,\"args\":{\"current\":%d,\"limit\":%d}}",
-				strconv.Quote("mem["+e.Actor+"]"), ts, tids[e.Actor], e.A, e.B)
-			continue
-		}
-		fmt.Fprintf(&b, ",\n{\"name\":%s,\"ph\":\"i\",\"ts\":%.3f,\"pid\":1,\"tid\":%d,\"s\":\"t\",\"args\":{",
-			strconv.Quote(e.Kind.String()), ts, tids[e.Actor])
-		first := true
-		arg := func(key string, val string) {
-			if !first {
-				b.WriteByte(',')
-			}
-			first = false
-			fmt.Fprintf(&b, "%s:%s", strconv.Quote(key), val)
-		}
-		if e.Page >= 0 {
-			arg("page", strconv.Itoa(e.Page))
-		}
-		if e.Target != "" {
-			arg("of", strconv.Quote(e.Target))
-		}
-		labels := argLabels[e.Kind]
-		if labels[0] != "" {
-			arg(labels[0], strconv.FormatInt(e.A, 10))
-		}
-		if labels[1] != "" {
-			arg(labels[1], strconv.FormatInt(e.B, 10))
-		}
-		b.WriteString("}}")
-	}
-	b.WriteString("\n],\n\"displayTimeUnit\":\"ms\",\n\"otherData\":{")
+
+	// otherData lists the nonzero counters sorted by kind name.
 	counts := r.Counts()
-	var keys []string
-	kv := map[string]int64{}
+	var nonzero []Kind
 	for k := Kind(0); k < KindCount; k++ {
 		if counts[k] != 0 {
-			keys = append(keys, k.String())
-			kv[k.String()] = counts[k]
+			nonzero = append(nonzero, k)
 		}
 	}
-	sort.Strings(keys)
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte(',')
+	sort.Slice(nonzero, func(i, j int) bool { return nonzero[i].String() < nonzero[j].String() })
+
+	buf := make([]byte, 0, r.n*chromeLineBytes+len(actors)*96+len(nonzero)*48+128)
+	buf = append(buf, "{\"traceEvents\":[\n"...)
+	buf = append(buf, `{"name":"process_name","ph":"M","pid":1,"args":{"name":"memhogs"}}`...)
+	for _, a := range actors {
+		buf = append(buf, ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":"...)
+		buf = strconv.AppendInt(buf, tids[a], 10)
+		buf = append(buf, ",\"args\":{\"name\":"...)
+		buf = append(append(buf, quoted[a]...), "}}"...)
+	}
+	for i := 0; i < r.n; i++ {
+		e := r.at(i)
+		if e.Kind == PMRefresh {
+			// Counter track: shared-page usage vs limit per process.
+			buf = append(buf, ",\n{\"name\":"...)
+			buf = append(buf, counterNames[e.Actor]...)
+			buf = append(buf, ",\"ph\":\"C\",\"ts\":"...)
+			buf = e.At.AppendIn(buf, sim.Microsecond)
+			buf = append(buf, ",\"pid\":1,\"tid\":"...)
+			buf = strconv.AppendInt(buf, tids[e.Actor], 10)
+			buf = append(buf, ",\"args\":{\"current\":"...)
+			buf = strconv.AppendInt(buf, e.A, 10)
+			buf = append(buf, ",\"limit\":"...)
+			buf = strconv.AppendInt(buf, e.B, 10)
+			buf = append(buf, "}}"...)
+			continue
 		}
-		fmt.Fprintf(&b, "%s:%d", strconv.Quote(k), kv[k])
+		buf = append(buf, ",\n{\"name\":"...)
+		buf = append(buf, kindJSON[e.Kind]...)
+		buf = append(buf, ",\"ph\":\"i\",\"ts\":"...)
+		buf = e.At.AppendIn(buf, sim.Microsecond)
+		buf = append(buf, ",\"pid\":1,\"tid\":"...)
+		buf = strconv.AppendInt(buf, tids[e.Actor], 10)
+		buf = append(buf, ",\"s\":\"t\",\"args\":{"...)
+		sep := ""
+		if e.Page >= 0 {
+			buf = append(buf, "\"page\":"...)
+			buf = strconv.AppendInt(buf, int64(e.Page), 10)
+			sep = ","
+		}
+		if e.Target != 0 {
+			buf = append(append(buf, sep...), "\"of\":"...)
+			buf = append(buf, quoted[e.Target]...)
+			sep = ","
+		}
+		keys := &argKeys[e.Kind]
+		if keys[0] != "" {
+			buf = append(append(buf, sep...), keys[0]...)
+			buf = strconv.AppendInt(buf, e.A, 10)
+			sep = ","
+		}
+		if keys[1] != "" {
+			buf = append(append(buf, sep...), keys[1]...)
+			buf = strconv.AppendInt(buf, e.B, 10)
+		}
+		buf = append(buf, "}}"...)
 	}
-	if len(keys) > 0 {
-		b.WriteByte(',')
+	buf = append(buf, "\n],\n\"displayTimeUnit\":\"ms\",\n\"otherData\":{"...)
+	for _, k := range nonzero {
+		buf = append(buf, kindJSON[k]...)
+		buf = strconv.AppendInt(append(buf, ':'), counts[k], 10)
+		buf = append(buf, ',')
 	}
-	fmt.Fprintf(&b, "\"dropped\":%d}\n}\n", r.Dropped())
-	return []byte(b.String())
+	buf = append(buf, "\"dropped\":"...)
+	buf = strconv.AppendInt(buf, r.Dropped(), 10)
+	return append(buf, "}\n}\n"...)
 }

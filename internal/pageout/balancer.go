@@ -143,7 +143,9 @@ func (b *Balancer) loop(p *sim.Proc) {
 			}
 			b.Stats.Migrations++
 			b.Stats.FramesMoved += int64(moved)
-			b.Events.Emit(events.BalancerMigrate, "balancerd", "node"+strconv.Itoa(dst), -1, int64(moved), int64(src))
+			if b.Events != nil { // the target name is built only when recording
+				b.Events.Emit(events.BalancerMigrate, "balancerd", "node"+strconv.Itoa(dst), -1, int64(moved), int64(src))
+			}
 		}
 	}
 }

@@ -13,7 +13,7 @@
 package sim
 
 import (
-	"fmt"
+	"strconv"
 )
 
 // Time is a point in virtual time, in nanoseconds since the start of
@@ -28,18 +28,58 @@ const (
 	Second      Time = 1000 * Millisecond
 )
 
-// String formats a Time with a unit suited to its magnitude.
+// String formats a Time with a unit suited to its magnitude: "%.3fs",
+// "%.3fms" or "%.3fus" of the value in that unit, or "%dns" below a
+// microsecond.
 func (t Time) String() string {
+	var b [24]byte
+	return string(t.Append(b[:0]))
+}
+
+// Append appends the bytes String returns to dst, without fmt and
+// without allocating beyond dst's growth.
+func (t Time) Append(dst []byte) []byte {
 	switch {
 	case t >= Second:
-		return fmt.Sprintf("%.3fs", float64(t)/float64(Second))
+		return append(t.AppendIn(dst, Second), 's')
 	case t >= Millisecond:
-		return fmt.Sprintf("%.3fms", float64(t)/float64(Millisecond))
+		return append(t.AppendIn(dst, Millisecond), "ms"...)
 	case t >= Microsecond:
-		return fmt.Sprintf("%.3fus", float64(t)/float64(Microsecond))
+		return append(t.AppendIn(dst, Microsecond), "us"...)
 	default:
-		return fmt.Sprintf("%dns", int64(t))
+		return append(strconv.AppendInt(dst, int64(t), 10), "ns"...)
 	}
+}
+
+// exactBelow bounds the integer path of AppendIn. Below it, the double
+// float64(t)/float64(unit) lies within half an ulp of the true quotient,
+// and half an ulp is less than both half a printed digit and the
+// distance from any non-tie quotient to the nearest rounding tie, so
+// the double prints as the integer path does. Above it, half an ulp
+// could cross a tie.
+const exactBelow = 1 << 50
+
+// AppendIn appends t expressed in unit with three decimals: the bytes
+// of fmt's "%.3f" of float64(t)/float64(unit). For a unit that is a
+// multiple of 1000 ns (Microsecond, Millisecond, Second) the quotient
+// is computed in integers and rounded half up. An exact tie, a
+// negative t, t >= 2^50 or any other unit falls back to strconv on the
+// double, whose rounding then decides.
+func (t Time) AppendIn(dst []byte, unit Time) []byte {
+	d := unit / 1000 // one thousandth of the unit
+	if t < 0 || t >= exactBelow || d <= 0 || unit%1000 != 0 {
+		return strconv.AppendFloat(dst, float64(t)/float64(unit), 'f', 3, 64)
+	}
+	q, r := t/d, t%d
+	switch {
+	case 2*r == d:
+		return strconv.AppendFloat(dst, float64(t)/float64(unit), 'f', 3, 64)
+	case 2*r > d:
+		q++
+	}
+	dst = strconv.AppendInt(dst, int64(q/1000), 10)
+	f := q % 1000
+	return append(dst, '.', byte('0'+f/100), byte('0'+f/10%10), byte('0'+f%10))
 }
 
 // Seconds returns the time as a floating-point number of seconds.

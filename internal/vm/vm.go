@@ -418,6 +418,7 @@ func (as *AS) notifyActivity() {
 // Touch references vpn, taking whatever fault is needed. write marks
 // the page dirty. The fast path (resident and valid) costs nothing and
 // allocates nothing.
+//
 //simvet:hot
 func (as *AS) Touch(x Exec, vpn int, write bool) Outcome {
 	as.Stats.Touches++
@@ -814,6 +815,7 @@ func (as *AS) Prefetch(x Exec, vpn int) PrefetchResult {
 // (the releaser skips pages referenced after the request). Called by
 // the PM with the request, before queueing to the releaser. It does
 // not free anything.
+//
 //simvet:hot
 func (as *AS) InvalidateForRelease(vpn int) {
 	pte := &as.ptes[vpn]
@@ -903,6 +905,7 @@ func (as *AS) TryDemote(vpn int) (demoted bool, dirty bool) {
 
 // ClearValid clears the Valid bit with the given reason (the paging
 // daemon's reference-bit emulation pass). Caller holds Memlock.
+//
 //simvet:hot
 func (as *AS) ClearValid(vpn int, why InvalidReason) bool {
 	pte := &as.ptes[vpn]
@@ -918,6 +921,7 @@ func (as *AS) ClearValid(vpn int, why InvalidReason) bool {
 // paging daemon's clock, giving pages that are invalid for other
 // reasons (e.g. prefetched but not yet referenced) one full clock pass
 // of grace before they become steal candidates. Caller holds Memlock.
+//
 //simvet:hot
 func (as *AS) MarkClockCandidate(vpn int) {
 	pte := &as.ptes[vpn]

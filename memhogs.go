@@ -705,7 +705,7 @@ type TraceResult struct {
 }
 
 // traceCapacity bounds the flight recorder's ring for Trace runs
-// (~23 MB of events); older events are dropped and counted, the
+// (~13 MB of 48-byte events); older events are dropped and counted, the
 // counter registry stays exact.
 const traceCapacity = 1 << 18
 
